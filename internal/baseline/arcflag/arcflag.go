@@ -19,6 +19,7 @@ import (
 	"repro/internal/netdata"
 	"repro/internal/packet"
 	"repro/internal/partition"
+	"repro/internal/pq"
 	"repro/internal/precompute"
 	"repro/internal/scheme"
 	"repro/internal/spath"
@@ -80,10 +81,13 @@ func (s *Server) computeFlags() {
 			s.flags[base+i][r/64] |= 1 << (r % 64)
 		}
 	}
-	// Shortest-path bits via backward search from each border node.
+	// Shortest-path bits via backward search from each border node, all
+	// through one reused tree and heap.
+	var tree spath.Tree
+	h := pq.New(s.g.NumNodes())
 	for r := 0; r < n; r++ {
 		for _, b := range regions.Borders[r] {
-			tree := spath.DijkstraReverse(s.g, b)
+			spath.DijkstraInto(&tree, h, s.g, b, true)
 			for u := graph.NodeID(0); int(u) < s.g.NumNodes(); u++ {
 				p := tree.Parent[u]
 				if p == graph.Invalid {

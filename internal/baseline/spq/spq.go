@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netdata"
 	"repro/internal/packet"
+	"repro/internal/pq"
 	"repro/internal/scheme"
 	"repro/internal/spath"
 )
@@ -73,8 +74,10 @@ func (s *Server) computeTrees() {
 		xs[i] = float64(float32(nd.X))
 		ys[i] = float64(float32(nd.Y))
 	}
+	var tree spath.Tree
+	h := pq.New(n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		tree := spath.Dijkstra(g, v)
+		spath.DijkstraInto(&tree, h, g, v, false)
 		// Color every node by the first-arc ordinal: walk the shortest-path
 		// tree in pop order, inheriting the first hop from the parent.
 		dst, _ := g.Out(v)

@@ -3,9 +3,29 @@
 // Items are small non-negative integers (node IDs); the heap supports
 // decrease-key in O(log n), which Dijkstra and A* rely on. A position index
 // makes Contains and DecreaseKey O(1) lookups.
+//
+// # Pop-order contract
+//
+// For any sequence of operations over non-NaN keys, the heap pops exactly
+// the (item, key) sequence of the textbook swap-based binary heap it
+// replaced, ties included: sift-up stops at a parent whose key is <= the
+// moving key, the right child is preferred only when strictly smaller than
+// the left, and sift-down stops at a child that is not strictly smaller.
+// The contract exists because tie order is not an implementation detail
+// here: equal tentative distances are common on road networks, the order
+// they pop in decides which shortest-path tree Dijkstra builds, and the
+// border pre-computation's trees reach the encoded broadcast bytes (NR
+// next-region pointers, traversal sets, the cross-border classification).
+// A faster heap with a different tie order would silently change what goes
+// on the air. The differential tests pin the contract against the original
+// heap, kept as a test-only reference.
 package pq
 
 // Min is an indexed min-heap. The zero value is not usable; call New.
+//
+// Keys and items live in parallel slices in heap order. Sifts move a hole
+// instead of swapping entries, so each level costs one key/item move and
+// one position update rather than a full swap.
 type Min struct {
 	items []int32   // heap order
 	keys  []float64 // parallel to items
@@ -38,8 +58,7 @@ func (h *Min) Push(item int32, key float64) {
 	}
 	h.items = append(h.items, item)
 	h.keys = append(h.keys, key)
-	h.pos[item] = int32(len(h.items) - 1)
-	h.up(len(h.items) - 1)
+	h.up(len(h.items)-1, item, key)
 }
 
 // DecreaseKey lowers the key of a contained item. It panics if the item is
@@ -52,8 +71,7 @@ func (h *Min) DecreaseKey(item int32, key float64) {
 	if key >= h.keys[i] {
 		return
 	}
-	h.keys[i] = key
-	h.up(int(i))
+	h.up(int(i), item, key)
 }
 
 // PushOrDecrease inserts the item or lowers its key, whichever applies.
@@ -63,8 +81,7 @@ func (h *Min) PushOrDecrease(item int32, key float64) bool {
 		if key >= h.keys[i] {
 			return false
 		}
-		h.keys[i] = key
-		h.up(int(i))
+		h.up(int(i), item, key)
 		return true
 	}
 	h.Push(item, key)
@@ -79,12 +96,12 @@ func (h *Min) Pop() (int32, float64) {
 	}
 	item, key := h.items[0], h.keys[0]
 	last := len(h.items) - 1
-	h.swap(0, last)
+	lastItem, lastKey := h.items[last], h.keys[last]
 	h.items = h.items[:last]
 	h.keys = h.keys[:last]
 	h.pos[item] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(lastItem, lastKey)
 	}
 	return item, key
 }
@@ -108,39 +125,64 @@ func (h *Min) Reset(n int) {
 	}
 }
 
-func (h *Min) up(i int) {
+// up places (item, key) at hole i or above it: parents with a strictly
+// larger key move down into the hole until one is <= key.
+func (h *Min) up(i int, item int32, key float64) {
+	items, keys, pos := h.items, h.keys, h.pos
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.keys[parent] <= h.keys[i] {
+		pk := keys[parent]
+		if pk <= key {
 			break
 		}
-		h.swap(i, parent)
+		pi := items[parent]
+		keys[i], items[i] = pk, pi
+		pos[pi] = int32(i)
 		i = parent
 	}
+	keys[i], items[i] = key, item
+	pos[item] = int32(i)
 }
 
-func (h *Min) down(i int) {
-	n := len(h.items)
+// down places (item, key) at the root hole or below it: the smaller child
+// (the right one only when strictly smaller) moves up into the hole while
+// it is strictly smaller than key.
+func (h *Min) down(item int32, key float64) {
+	items, keys, pos := h.items, h.keys, h.pos
+	n := len(keys)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.keys[l] < h.keys[smallest] {
-			smallest = l
+		c := 2*i + 1
+		if c+1 >= n {
+			// At most one child: the last level, handled below.
+			if c < n && keys[c] < key {
+				ci := items[c]
+				keys[i], items[i] = keys[c], ci
+				pos[ci] = int32(i)
+				i = c
+			}
+			break
 		}
-		if r < n && h.keys[r] < h.keys[smallest] {
-			smallest = r
+		c += b2i(keys[c+1] < keys[c])
+		ck := keys[c]
+		if !(ck < key) {
+			break
 		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
+		ci := items[c]
+		keys[i], items[i] = ck, ci
+		pos[ci] = int32(i)
+		i = c
 	}
+	keys[i], items[i] = key, item
+	pos[item] = int32(i)
 }
 
-func (h *Min) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.items[i]] = int32(i)
-	h.pos[h.items[j]] = int32(j)
+// b2i converts a comparison to 0 or 1; the compiler lowers it to a SETcc,
+// keeping the child choice free of an unpredictable branch.
+func b2i(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/pq"
 	"repro/internal/spath"
 )
 
@@ -24,6 +25,19 @@ type RegionSet []uint64
 
 // NewRegionSet returns an empty set able to hold n regions.
 func NewRegionSet(n int) RegionSet { return make(RegionSet, (n+63)/64) }
+
+// newRegionSets returns count empty sets able to hold n regions each,
+// carved from one backing array (capacity-capped, so the sets never bleed
+// into each other).
+func newRegionSets(count, n int) []RegionSet {
+	words := (n + 63) / 64
+	flat := make([]uint64, count*words)
+	sets := make([]RegionSet, count)
+	for i := range sets {
+		sets[i] = flat[i*words : (i+1)*words : (i+1)*words]
+	}
+	return sets
+}
 
 // Set adds region r.
 func (s RegionSet) Set(r int) { s[r/64] |= 1 << (r % 64) }
@@ -138,7 +152,11 @@ type borderAccum struct {
 	traverse    []RegionSet // flattened i*n+j
 	crossBorder []bool
 
-	// Dijkstra-tree scratch.
+	// Dijkstra-tree scratch, reused for every border node the worker
+	// processes: the tree arrays and the heap are sized once per worker
+	// instead of once per border node.
+	tree      spath.Tree
+	heap      *pq.Min
 	ros       []uint64 // regions-on-path bitmask per node
 	hasTarget []bool
 	words     int
@@ -148,15 +166,13 @@ func newBorderAccum(n, nn int) *borderAccum {
 	a := &borderAccum{
 		minDist:     newMatrix(n, math.Inf(1)),
 		maxDist:     newMatrix(n, 0),
-		traverse:    make([]RegionSet, n*n),
+		traverse:    newRegionSets(n*n, n),
 		crossBorder: make([]bool, nn),
+		heap:        pq.New(nn),
 		words:       (n + 63) / 64,
 	}
 	a.ros = make([]uint64, nn*a.words)
 	a.hasTarget = make([]bool, nn)
-	for i := range a.traverse {
-		a.traverse[i] = NewRegionSet(n)
-	}
 	return a
 }
 
@@ -164,7 +180,8 @@ func newBorderAccum(n, nn int) *borderAccum {
 func (a *borderAccum) processBorder(g *graph.Graph, r *Regions, j borderJob) {
 	n := r.N
 	words := a.words
-	tree := spath.Dijkstra(g, j.b)
+	spath.DijkstraInto(&a.tree, a.heap, g, j.b, false)
+	tree := &a.tree
 
 	// Pass 1 (pop order): regions on the path from b to v.
 	for _, v := range tree.PopOrder {
@@ -293,24 +310,29 @@ func ComputeWorkers(g *graph.Graph, r *Regions, workers int) *BorderData {
 		}
 	}
 	workers = clampWorkers(len(jobs), workers)
+	// Each worker allocates its accumulator on its own goroutine, at its
+	// first job: allocated back to back on one goroutine, two workers' heap
+	// and tree headers, rewritten on every push and pop, shared cache lines
+	// and the false sharing slowed the parallel build measurably. A worker
+	// that finds no job left keeps a nil accumulator.
 	accums := make([]*borderAccum, workers)
-	for w := range accums {
-		accums[w] = newBorderAccum(n, nn)
-	}
 	ParallelWorkers(len(jobs), workers, func(w, i int) {
+		if accums[w] == nil {
+			accums[w] = newBorderAccum(n, nn)
+		}
 		accums[w].processBorder(g, r, jobs[i])
 	})
 
 	bd := &BorderData{
 		MinDist:     newMatrix(n, math.Inf(1)),
 		MaxDist:     newMatrix(n, 0),
-		Traverse:    make([]RegionSet, n*n),
+		Traverse:    newRegionSets(n*n, n),
 		CrossBorder: make([]bool, nn),
 	}
-	for i := range bd.Traverse {
-		bd.Traverse[i] = NewRegionSet(n)
-	}
 	for _, acc := range accums {
+		if acc == nil {
+			continue
+		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if acc.minDist[i][j] < bd.MinDist[i][j] {

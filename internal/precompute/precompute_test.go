@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -243,6 +244,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 			par := ComputeWorkers(g, r, workers)
 			equalBorderData(t, p.Name, r.N, serial, par)
 		}
+	}
+}
+
+// TestComputeAllocsPerBorder pins that the border pre-computation reuses
+// its Dijkstra state: with one worker, the bytes allocated per border node
+// stay far below one tree's worth (distances, parents, pop order and heap
+// positions are about 20 bytes per graph node). The per-worker accumulator
+// and the result are allocated once and amortize over all border nodes.
+func TestComputeAllocsPerBorder(t *testing.T) {
+	p, err := netgen.PresetByName("germany")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := p.Scaled(0.05).Generate(2010)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd, err := partition.NewKDTree(g, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := BuildRegions(g, kd)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ComputeWorkers(g, r, 1)
+	runtime.ReadMemStats(&after)
+	perBorder := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.BorderCount())
+	limit := 2 * float64(g.NumNodes())
+	t.Logf("%d nodes, %d border nodes: %.0f B allocated per border node (limit %.0f)",
+		g.NumNodes(), r.BorderCount(), perBorder, limit)
+	if perBorder > limit {
+		t.Fatalf("%.0f B allocated per border node, want <= %.0f (2 B per graph node): per-tree state is being reallocated",
+			perBorder, limit)
 	}
 }
 

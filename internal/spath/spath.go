@@ -34,13 +34,17 @@ type Tree struct {
 // Dijkstra computes the complete shortest-path tree from src over the
 // forward adjacency of g.
 func Dijkstra(g *graph.Graph, src graph.NodeID) *Tree {
-	return dijkstraCSR(g, src, false)
+	t := new(Tree)
+	DijkstraInto(t, pq.New(g.NumNodes()), g, src, false)
+	return t
 }
 
 // DijkstraReverse computes shortest distances *to* src, i.e. Dijkstra over
 // the reverse adjacency. Dist[v] is then the distance from v to src.
 func DijkstraReverse(g *graph.Graph, src graph.NodeID) *Tree {
-	return dijkstraCSR(g, src, true)
+	t := new(Tree)
+	DijkstraInto(t, pq.New(g.NumNodes()), g, src, true)
+	return t
 }
 
 // Distances is an adapter with the signature expected by
@@ -49,19 +53,30 @@ func Distances(g *graph.Graph, src graph.NodeID) []float64 {
 	return Dijkstra(g, src).Dist
 }
 
-func dijkstraCSR(g *graph.Graph, src graph.NodeID, reverse bool) *Tree {
+// DijkstraInto computes the complete shortest-path tree from src into t,
+// over the reverse adjacency of g when reverse is set (Dist[v] is then the
+// distance from v to src). It is the reusable form of Dijkstra and
+// DijkstraReverse: t's arrays are resized and overwritten in place and h is
+// Reset before use, so a caller building many trees over one graph holds
+// one Tree and one heap and allocates nothing per tree.
+func DijkstraInto(t *Tree, h *pq.Min, g *graph.Graph, src graph.NodeID, reverse bool) {
 	n := g.NumNodes()
-	t := &Tree{
-		Source:   src,
-		Dist:     make([]float64, n),
-		Parent:   make([]graph.NodeID, n),
-		PopOrder: make([]graph.NodeID, 0, n),
+	if cap(t.Dist) < n || cap(t.Parent) < n {
+		t.Dist = make([]float64, n)
+		t.Parent = make([]graph.NodeID, n)
 	}
+	if cap(t.PopOrder) < n {
+		t.PopOrder = make([]graph.NodeID, 0, n)
+	}
+	t.Source = src
+	t.Dist = t.Dist[:n]
+	t.Parent = t.Parent[:n]
+	t.PopOrder = t.PopOrder[:0]
 	for i := range t.Dist {
 		t.Dist[i] = Inf
 		t.Parent[i] = graph.Invalid
 	}
-	h := pq.New(n)
+	h.Reset(n)
 	t.Dist[src] = 0
 	h.Push(int32(src), 0)
 	for h.Len() > 0 {
@@ -85,7 +100,6 @@ func dijkstraCSR(g *graph.Graph, src graph.NodeID, reverse bool) *Tree {
 		}
 	}
 	t.Popped = len(t.PopOrder)
-	return t
 }
 
 // PathTo reconstructs the node sequence from the tree source to dst by

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/netgen"
+	"repro/internal/pq"
 )
 
 // randomGraph builds a random strongly connected graph (ring + chords).
@@ -82,6 +84,62 @@ func TestDijkstraReverse(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		if math.Abs(tree.Dist[v]-want[v][7]) > 1e-9 {
 			t.Fatalf("reverse d(%d->7) = %v, want %v", v, tree.Dist[v], want[v][7])
+		}
+	}
+}
+
+// TestDijkstraIntoReuse reuses one Tree and one heap across graphs of
+// different sizes, both directions and sources that reach different node
+// sets, and checks every tree equals a freshly allocated one: no state may
+// leak from one tree into the next.
+func TestDijkstraIntoReuse(t *testing.T) {
+	// Forward-only chains with forward chords: from source s, nodes below s
+	// are unreachable (and, in reverse, nodes above it).
+	dag := func(n int, seed int64) *graph.Graph {
+		rng := rand.New(rand.NewSource(seed))
+		b := graph.NewBuilder(n, 3*n)
+		for i := 0; i < n; i++ {
+			b.AddNode(float64(i), 0)
+		}
+		for i := 0; i+1 < n; i++ {
+			b.AddArc(graph.NodeID(i), graph.NodeID(i+1), float64(1+rng.Intn(3)))
+		}
+		for e := 0; e < n; e++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u < v {
+				b.AddArc(graph.NodeID(u), graph.NodeID(v), float64(1+rng.Intn(5)))
+			}
+		}
+		return b.MustBuild()
+	}
+	var tree Tree
+	h := pq.New(1)
+	for k, n := range []int{60, 25, 90, 40} {
+		g := dag(n, int64(k))
+		for _, src := range []int{n / 2, 0, n - 1, n / 3} {
+			for _, reverse := range []bool{false, true} {
+				DijkstraInto(&tree, h, g, graph.NodeID(src), reverse)
+				want := Dijkstra(g, graph.NodeID(src))
+				if reverse {
+					want = DijkstraReverse(g, graph.NodeID(src))
+				}
+				if tree.Source != want.Source || tree.Popped != want.Popped ||
+					len(tree.Dist) != n || len(tree.Parent) != n || len(tree.PopOrder) != len(want.PopOrder) {
+					t.Fatalf("n=%d src=%d reverse=%v: shape differs from a fresh tree", n, src, reverse)
+				}
+				for v := 0; v < n; v++ {
+					if tree.Dist[v] != want.Dist[v] || tree.Parent[v] != want.Parent[v] {
+						t.Fatalf("n=%d src=%d reverse=%v: node %d dist/parent %v/%d, want %v/%d",
+							n, src, reverse, v, tree.Dist[v], tree.Parent[v], want.Dist[v], want.Parent[v])
+					}
+				}
+				for i := range want.PopOrder {
+					if tree.PopOrder[i] != want.PopOrder[i] {
+						t.Fatalf("n=%d src=%d reverse=%v: pop %d = %d, want %d",
+							n, src, reverse, i, tree.PopOrder[i], want.PopOrder[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -261,4 +319,35 @@ func TestDiameterDoubleSweep(t *testing.T) {
 			t.Fatalf("diameter %v implausibly small vs distance %v", d, dist)
 		}
 	}
+}
+
+// BenchmarkDijkstraTree measures one full-tree Dijkstra on the germany
+// preset (×0.25, netgen seed 42) — the unit of work the border
+// pre-computation repeats once per border node — from a rotating set of
+// sources: "alloc" through Dijkstra, "reuse" through DijkstraInto with one
+// Tree and heap held across iterations.
+func BenchmarkDijkstraTree(b *testing.B) {
+	p, err := netgen.PresetByName("germany")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := p.Scaled(0.25).Generate(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := func(i int) graph.NodeID { return graph.NodeID(i * 7919 % g.NumNodes()) }
+	b.Run("alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Dijkstra(g, src(i))
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		b.ReportAllocs()
+		var t Tree
+		h := pq.New(g.NumNodes())
+		for i := 0; i < b.N; i++ {
+			DijkstraInto(&t, h, g, src(i), false)
+		}
+	})
 }

@@ -620,11 +620,16 @@ type Sub struct {
 // subscription is guaranteed to receive.
 func (s *Sub) Start() int { return s.start }
 
-// Len returns the current cycle length in packets (broadcast.Feed). It
-// changes when a swap installs a cycle of a different length (e.g. one
-// carrying a delta trailer); clients always read it live through the tuner,
-// so their cyclic arithmetic follows the air.
-func (s *Sub) Len() int { return s.st.cur.Load().cycle.Len() }
+// Len returns the cycle length in packets at the listener's position
+// (broadcast.Feed): the length of the cycle whose tenure covers the last
+// position asked for. It changes when the listener reaches a swap that
+// installed a cycle of a different length (e.g. one carrying a delta
+// trailer); clients always read it live through the tuner, so their cyclic
+// arithmetic follows the packets they receive. The air's own length may
+// already be newer: the station buffers ahead of a slow listener, and a
+// client that combined old-version packets with the new length would see
+// no length change to flag its version window as mixed.
+func (s *Sub) Len() int { return s.st.cur.Load().find(int(s.want.Load())).cycle.Len() }
 
 // Missed returns how many backpressure-dropped packets (paced clock,
 // buffer full) this subscription actually served to its listener as

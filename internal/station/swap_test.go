@@ -106,6 +106,56 @@ func TestSwapAtCycleBoundary(t *testing.T) {
 	}
 }
 
+// TestSubLenFollowsListener pins that a subscription reports the cycle
+// length of the position its listener is at, not of the air: the station
+// buffers ahead of a slow listener, so it can install a swapped cycle of a
+// new length while the listener still reads old-version packets. A client
+// that did its cyclic arithmetic with the new length on those packets, and
+// saw no length change within its version window, would accept a wrong
+// answer.
+func TestSubLenFollowsListener(t *testing.T) {
+	c1 := versionedCycle(40, 1)
+	c2 := versionedCycle(52, 2)
+	st := startStation(t, c1, Config{})
+	sub, err := st.Subscribe(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	start := sub.Start()
+	if _, ok := sub.At(start); !ok {
+		t.Fatalf("lossless position %d lost", start)
+	}
+	if _, err := st.Swap(c2); err != nil {
+		t.Fatal(err)
+	}
+	// The station runs ahead into the subscription buffer, so it installs
+	// the new cycle while the listener still reads old-version packets.
+	behind, newSeen := 0, 0
+	for abs := start + 1; newSeen < c2.Len(); abs++ {
+		if abs > start+1<<14 {
+			t.Fatal("no version-2 packet reached the listener")
+		}
+		p, ok := sub.At(abs)
+		if !ok {
+			t.Fatalf("lossless position %d lost", abs)
+		}
+		want := c1.Len()
+		if p.Version == 2 {
+			want = c2.Len()
+			newSeen++
+		} else if st.Version() == 2 {
+			behind++
+		}
+		if got := sub.Len(); got != want {
+			t.Fatalf("position %d (version %d): Len %d, want %d", abs, p.Version, got, want)
+		}
+	}
+	if behind == 0 {
+		t.Skip("the listener never read an old-version packet after the swap was installed")
+	}
+}
+
 // TestSwapChurn is the churn scenario under -race: subscribers tuning in,
 // receiving, sleeping and dropping out while the station swaps cycle
 // versions underneath them. It must not deadlock, versions must be
